@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the simulation substrate: per-interaction
-//! throughput of every backend, Fenwick vs linear sampling, the geometric
-//! no-op accelerator (E14 / design-ablation benches from DESIGN.md §6),
+//! throughput of every backend, Fenwick vs linear sampling, the count
+//! backend's geometric no-op leap (E14 / design-ablation benches from
+//! DESIGN.md §6),
 //! and the headline `step` vs `step_batch` comparison on
 //! `CountPopulation`, whose results are written to `BENCH_batch.json` at
 //! the workspace root. The reactive-dense rows (collision-batch regime,
@@ -16,7 +17,6 @@
 
 use pp_bench::history::{self, HistoryRecord};
 use pp_bench::timing::{bench, throughput};
-use pp_engine::accel::AcceleratedPopulation;
 use pp_engine::counts::CountPopulation;
 use pp_engine::fenwick::Fenwick;
 use pp_engine::json::Json;
@@ -65,17 +65,17 @@ fn bench_backends() {
 }
 
 fn bench_accelerator() {
-    // E14: sparse dynamics — 4 leaders among n agents. The accelerated
-    // backend jumps the dead time; the naive one slogs through it (so the
-    // naive side only runs at the smaller n).
-    println!("\n== accel_sparse_fratricide (full run to 1 leader) ==");
+    // E14: sparse dynamics — 4 leaders among n agents. `step_batch` leaps
+    // the dead time (one batch runs to silence, i.e. to the last leader);
+    // per-step driving slogs through it (so it only runs at the smaller n).
+    println!("\n== sparse_fratricide (full run to 1 leader) ==");
     let p = TableProtocol::new(2, "frat").rule(1, 1, 1, 0);
     for n in [1_000u64, 10_000] {
-        bench(&format!("accelerated n={n}"), || {
-            let mut pop = AcceleratedPopulation::from_counts(&p, &[n - 4, 4]);
+        bench(&format!("count_step_batch n={n}"), || {
+            let mut pop = CountPopulation::from_counts(&p, &[n - 4, 4]);
             let mut rng = SimRng::seed_from(7);
             while pop.count(1) > 1 {
-                pop.step(&mut rng);
+                pop.step_batch(&mut rng, u64::MAX);
             }
             pop.steps()
         });
@@ -152,27 +152,6 @@ fn batch_rate(mut pop: CountPopulation<TableProtocol>, seed: u64, chunk: u64) ->
     throughput(|| pop.step_batch(&mut rng, chunk).executed)
 }
 
-/// [`batch_rate`] at an explicit worker-thread setting for the sharded
-/// collision path (the trajectory is identical at every setting; only the
-/// wall-clock changes).
-fn batch_rate_threads(
-    mut pop: CountPopulation<TableProtocol>,
-    seed: u64,
-    chunk: u64,
-    threads: usize,
-) -> f64 {
-    pop.set_threads(threads);
-    let mut rng = SimRng::seed_from(seed);
-    throughput(|| pop.step_batch(&mut rng, chunk).executed)
-}
-
-/// Physical cores visible to this bench run — recorded alongside the
-/// thread-scaling rows so the numbers are interpretable (a 1-core CI box
-/// cannot show 4-thread scaling, and should not pretend to).
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
 struct BatchRow {
     scenario: &'static str,
     n: u64,
@@ -229,12 +208,8 @@ struct DenseRow {
     n: u64,
     step_per_sec: f64,
     batch_per_sec: f64,
-    /// Sharded batch throughput pinned to 1 and 4 worker threads.
-    batch_t1_per_sec: f64,
-    batch_t4_per_sec: f64,
     collision_epochs: u64,
     collision_batched_steps: u64,
-    shard_rounds: u64,
     mean_epoch_len: f64,
     epoch_len_log2_buckets: Vec<u64>,
 }
@@ -251,8 +226,6 @@ fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
         let dense = || CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)]);
         let step_per_sec = step_rate(dense(), 21);
         let batch_per_sec = batch_rate(dense(), 22, 1 << 20);
-        let batch_t1_per_sec = batch_rate_threads(dense(), 22, 1 << 20, 1);
-        let batch_t4_per_sec = batch_rate_threads(dense(), 22, 1 << 20, 4);
 
         // Distribution capture: enough steps for thousands of epochs at
         // every n without dominating wall-clock at n = 1e8.
@@ -266,7 +239,6 @@ fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
         metrics::disable();
         let collision_epochs = snap.counter("collision_epochs");
         let collision_batched_steps = snap.counter("collision_batched_steps");
-        let shard_rounds = snap.counter("shard_rounds");
         let mean_epoch_len = if collision_epochs > 0 {
             collision_batched_steps as f64 / collision_epochs as f64
         } else {
@@ -275,23 +247,18 @@ fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
         let epoch_len_log2_buckets = snap.hist("epoch_len").unwrap_or(&[]).to_vec();
 
         println!(
-            "dense_cycle3   n={n:<11} step {:>14.3e}/s   batch {:>14.3e}/s   ({:.1}x)   t1 {:>10.3e}/s   t4 {:>10.3e}/s   mean epoch {:.1}",
+            "dense_cycle3   n={n:<11} step {:>14.3e}/s   batch {:>14.3e}/s   ({:.1}x)   mean epoch {:.1}",
             step_per_sec,
             batch_per_sec,
             batch_per_sec / step_per_sec,
-            batch_t1_per_sec,
-            batch_t4_per_sec,
             mean_epoch_len
         );
         rows.push(DenseRow {
             n,
             step_per_sec,
             batch_per_sec,
-            batch_t1_per_sec,
-            batch_t4_per_sec,
             collision_epochs,
             collision_batched_steps,
-            shard_rounds,
             mean_epoch_len,
             epoch_len_log2_buckets,
         });
@@ -311,9 +278,6 @@ fn write_dense_json(rows: &[DenseRow]) {
         ("backend", Json::from("CountPopulation")),
         ("scenario", Json::from("dense_cycle3")),
         ("unit", Json::from("interactions_per_second")),
-        // Thread-scaling rows are only interpretable relative to the host:
-        // a 1-core runner cannot exhibit 4-thread scaling.
-        ("host_cores", Json::from(host_cores() as u64)),
         (
             "rows",
             Json::arr(rows.iter().map(|r| {
@@ -322,18 +286,11 @@ fn write_dense_json(rows: &[DenseRow]) {
                     ("step_per_sec", Json::from(r.step_per_sec)),
                     ("batch_per_sec", Json::from(r.batch_per_sec)),
                     ("speedup", Json::from(r.batch_per_sec / r.step_per_sec)),
-                    ("batch_t1_per_sec", Json::from(r.batch_t1_per_sec)),
-                    ("batch_t4_per_sec", Json::from(r.batch_t4_per_sec)),
-                    (
-                        "parallel_speedup_t4",
-                        Json::from(r.batch_t4_per_sec / r.batch_t1_per_sec),
-                    ),
                     ("collision_epochs", Json::from(r.collision_epochs)),
                     (
                         "collision_batched_steps",
                         Json::from(r.collision_batched_steps),
                     ),
-                    ("shard_rounds", Json::from(r.shard_rounds)),
                     ("mean_epoch_len", Json::from(r.mean_epoch_len)),
                     (
                         "epoch_len_log2_buckets",
@@ -392,23 +349,6 @@ fn append_dense_history(rows: &[DenseRow]) {
                     metric: "batch_per_sec",
                     rate: r.batch_per_sec,
                 },
-                // New keys (PR 9): pinned-thread rates for the sharded
-                // collision path. Old histories simply lack them;
-                // bench-diff compares shared keys only.
-                HistoryRecord {
-                    bench: "engine_dense",
-                    scenario: "dense_cycle3",
-                    n: r.n,
-                    metric: "batch_t1_per_sec",
-                    rate: r.batch_t1_per_sec,
-                },
-                HistoryRecord {
-                    bench: "engine_dense",
-                    scenario: "dense_cycle3",
-                    n: r.n,
-                    metric: "batch_t4_per_sec",
-                    rate: r.batch_t4_per_sec,
-                },
             ]
         })
         .collect();
@@ -434,36 +374,7 @@ fn run_smoke() {
         "smoke: dense collision-batch speedup at n={} is {speedup:.1}x, need > 10x",
         last.n
     );
-    assert!(
-        last.shard_rounds > 0,
-        "smoke: dense run at n={} never took the sharded super-epoch path",
-        last.n
-    );
-    // Parallel-scaling gate: only meaningful when the host actually has
-    // the cores. On smaller runners the gate is skipped *loudly* — an
-    // honest skip beats a number measured under oversubscription.
-    let cores = host_cores();
-    if cores >= 4 {
-        let pspeed = last.batch_t4_per_sec / last.batch_t1_per_sec;
-        assert!(
-            pspeed >= 2.0,
-            "smoke: 4-thread sharded speedup at n={} is {pspeed:.2}x, need >= 2x \
-             (t1 {:.3e}/s, t4 {:.3e}/s, {cores} cores)",
-            last.n,
-            last.batch_t1_per_sec,
-            last.batch_t4_per_sec
-        );
-        println!(
-            "smoke OK: dense speedup {speedup:.1}x, 4-thread scaling {pspeed:.2}x at n={}",
-            last.n
-        );
-    } else {
-        println!(
-            "smoke OK: dense speedup {speedup:.1}x at n={} \
-             (4-thread scaling gate SKIPPED: host has {cores} core(s), need >= 4)",
-            last.n
-        );
-    }
+    println!("smoke OK: dense speedup {speedup:.1}x at n={}", last.n);
 }
 
 fn main() {

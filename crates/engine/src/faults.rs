@@ -16,10 +16,7 @@
 //!   backend. Batches are split at trigger boundaries, injections are
 //!   applied through [`Simulator::migrate`] (count-level state surgery, no
 //!   scheduler steps consumed), and every injection is recorded as a
-//!   [`FaultEvent`] and counted in the global [`crate::metrics`] registry;
-//! * [`AdversarialSchedule`] — non-uniform schedulers (biased pair
-//!   selection, epoch-based species starvation) over the explicit
-//!   agent-array backend, where pair-level control is possible.
+//!   [`FaultEvent`] and counted in the global [`crate::metrics`] registry.
 //!
 //! ## The fault model
 //!
@@ -45,8 +42,6 @@
 
 use crate::json::{Json, JsonError};
 use crate::metrics::{self, Counter};
-use crate::population::Population;
-use crate::protocol::Protocol;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
@@ -875,10 +870,6 @@ impl<S: Simulator> Simulator for FaultyPopulation<S> {
         out
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.inner.set_threads(threads);
-    }
-
     fn backend_tag(&self) -> &'static str {
         "faulty"
     }
@@ -919,200 +910,12 @@ impl<S: Simulator> Simulator for FaultyPopulation<S> {
     }
 }
 
-/// Non-uniform pair-selection strategies for [`AdversarialSchedule`].
-///
-/// These require pair-level control, so they run over the explicit
-/// agent-array backend rather than wrapping an arbitrary [`Simulator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Adversary {
-    /// Biased pair selection: with probability `bias`, the initiator is
-    /// drawn from the agents currently in `state` (falling back to a
-    /// uniform draw when that set is empty).
-    Biased {
-        /// The favored state.
-        state: usize,
-        /// Probability of forcing the initiator into `state`, in `[0, 1]`.
-        bias: f64,
-    },
-    /// Epoch-based starvation: time is divided into epochs of
-    /// `epoch_rounds`; during odd epochs, pairs touching an agent in
-    /// `state` are rejected (bounded re-draws), starving that species of
-    /// interactions.
-    Starve {
-        /// The starved state.
-        state: usize,
-        /// Epoch length in rounds (> 0).
-        epoch_rounds: f64,
-    },
-}
-
-/// Bound on pair re-draws per activation, so a near-total starvation target
-/// degrades gracefully instead of livelocking.
-const ADVERSARY_MAX_REDRAWS: u32 = 32;
-
-/// An explicit-agent population driven by a non-uniform scheduler.
-///
-/// Every activation still applies the protocol's transition to an ordered
-/// agent pair and counts one step; only the pair *distribution* is
-/// adversarial. Composable with [`FaultyPopulation`] (wrap this in it) since
-/// it implements [`Simulator`] like any backend.
-///
-/// # Examples
-///
-/// ```
-/// use pp_engine::faults::{Adversary, AdversarialSchedule};
-/// use pp_engine::protocol::TableProtocol;
-/// use pp_engine::rng::SimRng;
-/// use pp_engine::sim::Simulator;
-///
-/// let p = TableProtocol::new(2, "epidemic").rule(1, 0, 1, 1).rule(0, 1, 1, 1);
-/// let adv = Adversary::Starve { state: 1, epoch_rounds: 1.0 };
-/// let mut pop = AdversarialSchedule::from_counts(p, &[63, 1], adv);
-/// let mut rng = SimRng::seed_from(3);
-/// pop.step_batch(&mut rng, 64);
-/// assert_eq!(pop.steps(), 64);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AdversarialSchedule<P> {
-    inner: Population<P>,
-    adversary: Adversary,
-}
-
-impl<P: Protocol> AdversarialSchedule<P> {
-    /// Creates a population with `counts[s]` agents in state `s`, scheduled
-    /// by `adversary`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`Population::from_counts`], or if the adversary's state index is out
-    /// of range, its bias is outside `[0, 1]`, or its epoch length is not
-    /// positive.
-    #[must_use]
-    pub fn from_counts(protocol: P, counts: &[u64], adversary: Adversary) -> Self {
-        let inner = Population::from_counts(protocol, counts);
-        match adversary {
-            Adversary::Biased { state, bias } => {
-                assert!(state < inner.num_states(), "biased state out of range");
-                assert!((0.0..=1.0).contains(&bias), "bias out of [0, 1]");
-            }
-            Adversary::Starve {
-                state,
-                epoch_rounds,
-            } => {
-                assert!(state < inner.num_states(), "starved state out of range");
-                assert!(epoch_rounds > 0.0, "epoch length must be positive");
-            }
-        }
-        Self { inner, adversary }
-    }
-
-    /// The adversary driving pair selection.
-    #[must_use]
-    pub fn adversary(&self) -> Adversary {
-        self.adversary
-    }
-
-    /// Access to the underlying explicit population.
-    #[must_use]
-    pub fn population(&self) -> &Population<P> {
-        &self.inner
-    }
-
-    /// Whether the current parallel time falls in a starvation epoch (odd
-    /// epochs starve; the run starts permissive).
-    #[must_use]
-    pub fn starving(&self) -> bool {
-        match self.adversary {
-            Adversary::Starve { epoch_rounds, .. } => {
-                (self.inner.time() / epoch_rounds) as u64 % 2 == 1
-            }
-            Adversary::Biased { .. } => false,
-        }
-    }
-
-    /// Draws an ordered pair under the adversarial distribution.
-    fn sample_pair(&self, rng: &mut SimRng) -> (usize, usize) {
-        let n = self.inner.n() as usize;
-        let uniform_pair = |rng: &mut SimRng| {
-            let i = rng.index(n);
-            let mut j = rng.index(n - 1);
-            if j >= i {
-                j += 1;
-            }
-            (i, j)
-        };
-        match self.adversary {
-            Adversary::Biased { state, bias } => {
-                if self.inner.count(state) > 0 && rng.chance(bias) {
-                    // Rejection-sample an initiator from the favored state.
-                    for _ in 0..ADVERSARY_MAX_REDRAWS {
-                        let i = rng.index(n);
-                        if self.inner.agent(i) == state {
-                            let mut j = rng.index(n - 1);
-                            if j >= i {
-                                j += 1;
-                            }
-                            return (i, j);
-                        }
-                    }
-                }
-                uniform_pair(rng)
-            }
-            Adversary::Starve { state, .. } => {
-                if !self.starving() {
-                    return uniform_pair(rng);
-                }
-                let mut pair = uniform_pair(rng);
-                for _ in 0..ADVERSARY_MAX_REDRAWS {
-                    if self.inner.agent(pair.0) != state && self.inner.agent(pair.1) != state {
-                        break;
-                    }
-                    pair = uniform_pair(rng);
-                }
-                pair
-            }
-        }
-    }
-}
-
-impl<P: Protocol> Simulator for AdversarialSchedule<P> {
-    fn n(&self) -> u64 {
-        self.inner.n()
-    }
-
-    fn num_states(&self) -> usize {
-        self.inner.num_states()
-    }
-
-    fn steps(&self) -> u64 {
-        self.inner.steps()
-    }
-
-    fn count(&self, state: usize) -> u64 {
-        self.inner.count(state)
-    }
-
-    fn counts(&self) -> Vec<u64> {
-        self.inner.counts()
-    }
-
-    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        self.inner.migrate(from, to, k)
-    }
-
-    fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
-        let (i, j) = self.sample_pair(rng);
-        self.inner.interact_pair(i, j, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accel::AcceleratedPopulation;
     use crate::counts::{CountPopulation, SparseCountPopulation};
     use crate::matching::MatchingPopulation;
+    use crate::population::Population;
     use crate::protocol::TableProtocol;
     use crate::sim::run_rounds;
 
@@ -1264,7 +1067,6 @@ mod tests {
         check!(Population::from_counts(&p, &[100, 500]));
         check!(CountPopulation::from_counts(&p, &[100, 500]));
         check!(SparseCountPopulation::from_dense(&p, &[100, 500]));
-        check!(AcceleratedPopulation::from_counts(&p, &[100, 500]));
         check!(MatchingPopulation::from_counts(&p, &[100, 500]));
     }
 
@@ -1281,82 +1083,5 @@ mod tests {
         // frac = 1 hits all 100 agents; exactly the 50 in state 1 move.
         assert_eq!(rows[0].get("hit").and_then(Json::as_u64), Some(100));
         assert_eq!(rows[0].get("moved").and_then(Json::as_u64), Some(50));
-    }
-
-    #[test]
-    fn starvation_epochs_freeze_the_starved_species() {
-        // Epidemic where state 1 is the only spreader: starving state 1
-        // stalls all progress during odd epochs.
-        let p = epidemic();
-        let adv = Adversary::Starve {
-            state: 1,
-            epoch_rounds: 2.0,
-        };
-        let mut pop = AdversarialSchedule::from_counts(p, &[199, 1], adv);
-        let mut rng = SimRng::seed_from(23);
-        // Epoch 0 (permissive): the epidemic makes progress.
-        run_rounds(&mut pop, 2.0, &mut rng, &mut []);
-        let after_permissive = pop.count(1);
-        assert!(after_permissive > 1, "epidemic spreads while permissive");
-        // Epoch 1 (starving): with few informed agents, rejection sampling
-        // excludes them and the epidemic freezes almost completely.
-        let before = pop.count(1);
-        assert!(pop.starving());
-        run_rounds(&mut pop, 2.0, &mut rng, &mut []);
-        let grown = pop.count(1) - before;
-        assert!(
-            grown <= before / 2 + 2,
-            "starved epoch should nearly freeze growth (grew {grown} from {before})"
-        );
-    }
-
-    #[test]
-    fn biased_scheduler_accelerates_the_favored_state() {
-        // One-way epidemic (initiator infects responder): biasing the
-        // initiator towards informed agents speeds up completion.
-        let oneway = TableProtocol::new(2, "oneway").rule(1, 0, 1, 1);
-        let complete = |adv: Option<Adversary>, seed: u64| {
-            let mut rng = SimRng::seed_from(seed);
-            match adv {
-                Some(adv) => {
-                    let mut pop = AdversarialSchedule::from_counts(oneway.clone(), &[511, 1], adv);
-                    crate::sim::run_until(&mut pop, &mut rng, 5_000.0, 64, |s| s.count(0) == 0)
-                        .expect("biased epidemic completes")
-                }
-                None => {
-                    let mut pop = Population::from_counts(oneway.clone(), &[511, 1]);
-                    crate::sim::run_until(&mut pop, &mut rng, 5_000.0, 64, |s| s.count(0) == 0)
-                        .expect("uniform epidemic completes")
-                }
-            }
-        };
-        let uniform = complete(None, 31);
-        let biased = complete(
-            Some(Adversary::Biased {
-                state: 1,
-                bias: 0.9,
-            }),
-            31,
-        );
-        assert!(
-            biased < uniform,
-            "bias towards spreaders must accelerate: biased {biased} vs uniform {uniform}"
-        );
-    }
-
-    #[test]
-    fn adversarial_schedule_composes_with_faults() {
-        let p = epidemic();
-        let adv = Adversary::Biased {
-            state: 1,
-            bias: 0.5,
-        };
-        let inner = AdversarialSchedule::from_counts(p, &[99, 1], adv);
-        let spec = FaultSpec::new(5).churn(1.0, 0.1, 0);
-        let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
-        let mut rng = SimRng::seed_from(37);
-        run_rounds(&mut pop, 4.0, &mut rng, &mut []);
-        assert!(!pop.events().is_empty(), "churn fired under the adversary");
-        assert_eq!(pop.counts().iter().sum::<u64>(), 100);
     }
 }

@@ -22,16 +22,16 @@
 //! | Backend | Representation | Per-step cost | Batch cost (per `step_batch` of `m` steps) | Use case |
 //! |---|---|---|---|---|
 //! | [`population::Population`] | explicit agent array | `O(1)` | `O(m)` tight loop | per-agent inspection, matching scheduler |
-//! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(k)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n` |
+//! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(q²)` draws per `Θ(√n)`-step collision epoch when reactive-dense, `O(k)` per reactive interaction and `O(1)` per no-op stretch when sparse (`k ≤ 1024`); `O(m log k)` otherwise | very large `n`, sparse dynamics, silence detection |
 //! | [`counts::SparseCountPopulation`] | occupied states only | `O(occupied)` | `O(m · occupied)` tight loop | huge nominal `k`, few occupied states |
-//! | [`accel::AcceleratedPopulation`] | count vector + reactivity | `O(k)` per *reactive* step | `O(k)` per reactive interaction, `O(1)` per no-op stretch | sparse dynamics, silence detection |
-//! | [`matching::MatchingPopulation`] | agent array | `O(n)` per round | whole rounds, `O(1)` amortized per step | random-matching scheduler (§5.3) |
+//! //! | [`matching::MatchingPopulation`] | agent array | `O(n)` per round | whole rounds, `O(1)` amortized per step | random-matching scheduler (§5.3) |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!
 //! All stochastic backends implement the same distribution over runs, and
-//! `step_batch` induces the same run distribution as iterated `step` — the
-//! leaping backends are exact because they only skip interactions that
-//! provably cannot change state (see `DESIGN.md` for the argument).
+//! `step_batch` induces the same run distribution as iterated `step`: no-op
+//! leaps only skip interactions that provably cannot change state, and a
+//! collision epoch samples the exact law of its `Θ(√n)` interactions (see
+//! `DESIGN.md` §9 and §12). No backend approximates the scheduler.
 //!
 //! ## Telemetry
 //!
@@ -63,7 +63,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod accel;
 pub mod collision;
 pub mod counts;
 pub mod faults;
@@ -74,7 +73,6 @@ pub mod meanfield;
 pub mod metrics;
 pub mod obj;
 pub mod observe;
-pub mod pardense;
 pub mod population;
 pub mod prof;
 pub mod protocol;

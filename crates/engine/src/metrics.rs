@@ -13,11 +13,12 @@
 //!   ordering. Sweep worker threads aggregate into the same registry, so a
 //!   snapshot reflects the whole process.
 //!
-//! Capture points live on the hot paths of all five backends: interactions
+//! Capture points live on the hot paths of all four backends: interactions
 //! executed/changed, no-op leap counts and leap-length distribution
 //! ([`Hist::LeapLen`]), `CountPopulation` dense-fallback entries, Fenwick
 //! (re)builds, batch-cache rebuilds, batch sizes, observer callbacks,
-//! matching rounds, silence detections, and sweep task timings.
+//! matching rounds, silence detections, collision epochs, fault injections,
+//! and resilient-sweep retries, panics and timeouts.
 //!
 //! [`snapshot`] freezes the registry into a [`MetricsReport`] that renders
 //! to JSON via [`crate::json`]; `ppsim --metrics <path>` and the bench
@@ -81,8 +82,6 @@ pub enum Counter {
     SilenceDetections,
     /// Random-matching rounds executed.
     MatchingRounds,
-    /// Sweep tasks completed.
-    SweepTasks,
     /// Fault injections applied by [`crate::faults::FaultyPopulation`].
     FaultInjections,
     /// Agents whose state a fault injection actually changed.
@@ -108,17 +107,11 @@ pub enum Counter {
     /// Dispatch decisions that fell back to the uncached dense loop (one
     /// per `step_batch` call with `k` over the batch-cache limit).
     RegimeDenseFallback,
-    /// Sharded super-epoch rounds run by the dense backends
-    /// ([`crate::pardense`]).
-    ShardRounds,
-    /// Shards dropped by the fixed-order merge's non-negativity check;
-    /// their budget is re-dispatched by the outer batch loop.
-    ShardMergeConflicts,
 }
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 23] = [
         Counter::InteractionsExecuted,
         Counter::InteractionsChanged,
         Counter::NoopLeaps,
@@ -131,7 +124,6 @@ impl Counter {
         Counter::ObserverCallbacks,
         Counter::SilenceDetections,
         Counter::MatchingRounds,
-        Counter::SweepTasks,
         Counter::FaultInjections,
         Counter::FaultAgentsMoved,
         Counter::SweepRetries,
@@ -143,8 +135,6 @@ impl Counter {
         Counter::RegimeLeap,
         Counter::RegimePerStep,
         Counter::RegimeDenseFallback,
-        Counter::ShardRounds,
-        Counter::ShardMergeConflicts,
     ];
 
     /// Stable snake_case name used in reports.
@@ -163,7 +153,6 @@ impl Counter {
             Counter::ObserverCallbacks => "observer_callbacks",
             Counter::SilenceDetections => "silence_detections",
             Counter::MatchingRounds => "matching_rounds",
-            Counter::SweepTasks => "sweep_tasks",
             Counter::FaultInjections => "fault_injections",
             Counter::FaultAgentsMoved => "fault_agents_moved",
             Counter::SweepRetries => "sweep_retries",
@@ -175,8 +164,6 @@ impl Counter {
             Counter::RegimeLeap => "regime_leap",
             Counter::RegimePerStep => "regime_per_step",
             Counter::RegimeDenseFallback => "regime_dense_fallback",
-            Counter::ShardRounds => "shard_rounds",
-            Counter::ShardMergeConflicts => "shard_merge_conflicts",
         }
     }
 }
@@ -189,8 +176,6 @@ pub enum Hist {
     LeapLen,
     /// Activations executed per `step_batch` call.
     BatchSize,
-    /// Wall-clock microseconds per sweep task.
-    SweepTaskMicros,
     /// Activations settled per collision-free epoch (the batch-size
     /// distribution of the contingency-table path, ≈ √n/2 in expectation).
     EpochLen,
@@ -198,12 +183,7 @@ pub enum Hist {
 
 impl Hist {
     /// All histograms, in report order.
-    pub const ALL: [Hist; 4] = [
-        Hist::LeapLen,
-        Hist::BatchSize,
-        Hist::SweepTaskMicros,
-        Hist::EpochLen,
-    ];
+    pub const ALL: [Hist; 3] = [Hist::LeapLen, Hist::BatchSize, Hist::EpochLen];
 
     /// Stable snake_case name used in reports.
     #[must_use]
@@ -211,7 +191,6 @@ impl Hist {
         match self {
             Hist::LeapLen => "leap_len",
             Hist::BatchSize => "batch_size",
-            Hist::SweepTaskMicros => "sweep_task_micros",
             Hist::EpochLen => "epoch_len",
         }
     }
@@ -682,7 +661,7 @@ mod tests {
         disable();
         let before = snapshot().counter("matching_rounds");
         add(Counter::MatchingRounds, 17);
-        observe(Hist::SweepTaskMicros, 5);
+        observe(Hist::BatchSize, 5);
         assert_eq!(snapshot().counter("matching_rounds"), before);
     }
 
@@ -816,13 +795,13 @@ mod tests {
         let _guard = TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
         let before = snapshot();
         enable();
-        add(Counter::SweepTasks, 3);
+        add(Counter::FaultInjections, 3);
         observe(Hist::LeapLen, 6);
         disable();
         // Other tests may record concurrently inside our window, so the
         // deltas are lower bounds.
         let after = snapshot();
-        assert!(after.counter("sweep_tasks") >= before.counter("sweep_tasks") + 3);
+        assert!(after.counter("fault_injections") >= before.counter("fault_injections") + 3);
         assert!(after.hist_count("leap_len") > before.hist_count("leap_len"));
     }
 }

@@ -243,7 +243,8 @@ impl<F: FnMut(&dyn Simulator) -> bool> Observer for ConvergenceDetector<F> {
 ///
 /// A protocol is silent when no agent will ever change state again. True
 /// silence is only decidable with reactivity information (see
-/// [`crate::accel::AcceleratedPopulation`]); this observer instead reports
+/// [`crate::counts::CountPopulation`]'s batch cache, which reports it as
+/// [`crate::sim::BatchOutcome::silent`]); this observer instead reports
 /// the last time the count vector changed, a useful empirical proxy.
 #[derive(Debug, Clone, Default)]
 pub struct LastChangeTracker {

@@ -57,8 +57,6 @@ use std::time::Instant;
 pub enum Section {
     /// One `CountPopulation::step_batch` call (the three-regime dispatcher).
     BatchCount,
-    /// One `AcceleratedPopulation::step_batch` call.
-    BatchAccel,
     /// One agent-array `Population::step_batch` call.
     BatchAgents,
     /// One `SparseCountPopulation::step_batch` call.
@@ -91,12 +89,6 @@ pub enum Section {
     /// Exact mode-centered pmf inversion in `SimRng` (binomial and
     /// hypergeometric draws — the collision chain's conditionals).
     PmfInversion,
-    /// One sharded super-epoch round: all shard chains, spawn to join
-    /// ([`crate::pardense::run_super_epoch`]).
-    ShardRound,
-    /// Fixed-order merge of per-shard deltas plus the count-structure sync
-    /// after a super-epoch.
-    ShardMerge,
     /// Fault-plan trigger splitting and due-injection application in
     /// `FaultyPopulation::step_batch`.
     FaultSplit,
@@ -107,9 +99,8 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 21] = [
+    pub const ALL: [Section; 18] = [
         Section::BatchCount,
-        Section::BatchAccel,
         Section::BatchAgents,
         Section::BatchSparse,
         Section::BatchMatching,
@@ -125,8 +116,6 @@ impl Section {
         Section::FenwickSync,
         Section::FenwickRebuild,
         Section::PmfInversion,
-        Section::ShardRound,
-        Section::ShardMerge,
         Section::FaultSplit,
         Section::Observer,
     ];
@@ -136,7 +125,6 @@ impl Section {
     pub const fn name(self) -> &'static str {
         match self {
             Section::BatchCount => "count_step_batch",
-            Section::BatchAccel => "accel_step_batch",
             Section::BatchAgents => "agents_step_batch",
             Section::BatchSparse => "sparse_step_batch",
             Section::BatchMatching => "matching_step_batch",
@@ -152,8 +140,6 @@ impl Section {
             Section::FenwickSync => "fenwick_sync",
             Section::FenwickRebuild => "fenwick_rebuild",
             Section::PmfInversion => "pmf_inversion",
-            Section::ShardRound => "shard_round",
-            Section::ShardMerge => "shard_merge",
             Section::FaultSplit => "fault_split",
             Section::Observer => "observer",
         }

@@ -55,9 +55,10 @@ pub trait Protocol {
     /// Whether an interaction between states `a` and `b` can possibly change
     /// either state.
     ///
-    /// This is a *conservative* hint consumed by the no-op leaping
-    /// accelerator ([`crate::accel`]): returning `false` asserts that
-    /// `interact(a, b, _) == (a, b)` always. Returning `true` is always safe.
+    /// This is a *conservative* hint consumed by the no-op leaping and
+    /// collision-epoch regimes of [`crate::counts::CountPopulation`]:
+    /// returning `false` asserts that `interact(a, b, _) == (a, b)` always.
+    /// Returning `true` is always safe.
     /// The default claims every pair is reactive, which disables leaping.
     fn is_reactive(&self, a: usize, b: usize) -> bool {
         let _ = (a, b);

@@ -15,8 +15,8 @@
 //! wall-clock. [`Simulator::step_batch`] advances up to `max_steps`
 //! activations in one call and reports an aggregate [`BatchOutcome`];
 //! backends override it with tight inner loops (agent-array), count-vector
-//! no-op leaping (count-based), folded geometric acceleration (accelerated),
-//! or whole matching rounds. The run loops ([`run_rounds`], [`run_until`])
+//! no-op leaping and collision epochs (count-based), or whole matching
+//! rounds. The run loops ([`run_rounds`], [`run_until`])
 //! size batches from observer checkpoint strides, so measurement granularity
 //! — not per-step callbacks — bounds the batch length.
 
@@ -67,9 +67,8 @@ impl BatchOutcome {
 /// Implementations: [`crate::population::Population`] (explicit agent
 /// array), [`crate::counts::CountPopulation`] (state-count vector with
 /// Fenwick sampling), [`crate::counts::SparseCountPopulation`] (occupied
-/// states only), [`crate::accel::AcceleratedPopulation`] (count vector with
-/// exact no-op leaping), [`crate::matching::MatchingPopulation`]
-/// (random-matching scheduler).
+/// states only), [`crate::matching::MatchingPopulation`] (random-matching
+/// scheduler).
 pub trait Simulator {
     /// Population size `n`.
     fn n(&self) -> u64;
@@ -147,22 +146,17 @@ pub trait Simulator {
         states.iter().map(|&s| self.count(s)).sum()
     }
 
-    /// Sets the worker-thread count for backends with internal parallelism
-    /// (the dense backends' sharded collision epochs, see
-    /// [`crate::pardense`]). `0` (the default) resolves automatically via
-    /// `sweep::resolve_workers` (`PP_THREADS` env, then available
-    /// parallelism); explicit values pin the physical thread count.
-    ///
-    /// This is an execution knob, not simulation state: results are
-    /// byte-identical for every thread count, so it is neither
-    /// snapshotted nor restored. Backends without internal parallelism
-    /// ignore it.
+    /// Accepts a worker-thread count and ignores it: no backend has
+    /// internal parallelism. A single run is one sequential chain of
+    /// exact draws; parallelism comes from running independent seeds side
+    /// by side ([`crate::sweep::run_indexed`], which honors `PP_THREADS`).
+    /// Kept so existing callers that pass a thread count still build.
     fn set_threads(&mut self, threads: usize) {
         let _ = threads;
     }
 
     /// Stable tag naming this backend in snapshot headers (`"agents"`,
-    /// `"counts"`, `"sparse"`, `"accel"`, `"matching"`, `"faulty"`).
+    /// `"counts"`, `"sparse"`, `"matching"`, `"faulty"`).
     ///
     /// [`Simulator::restore`] refuses state saved under a different tag, so
     /// a snapshot can never be silently deserialized into the wrong backend

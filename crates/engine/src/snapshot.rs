@@ -51,14 +51,13 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the on-disk snapshot format. Bumped on any change to the
-/// header or payload schema — and on semantic boundaries: version 2 marks
-/// runs that may contain sharded super-epochs (`pardense`), whose
-/// trajectories a version-1 engine cannot reproduce. The payload schema is
-/// unchanged from version 1, so [`RunSnapshot::decode`] accepts both (see
-/// [`MIN_FORMAT_VERSION`]); shard RNG streams live and die inside a single
-/// `step_batch` call, so the four main-stream words still capture the
-/// complete resume state (DESIGN.md §16).
-pub const FORMAT_VERSION: u64 = 2;
+/// header or payload schema — and on semantic boundaries, where the same
+/// snapshot resumes into a different trajectory: version 2 marked runs
+/// that may contain sharded super-epochs, and version 3 marks their removal
+/// (every collision epoch is again the exact sequential chain, DESIGN.md
+/// §16). The payload schema is unchanged from version 1, so
+/// [`RunSnapshot::decode`] accepts all three (see [`MIN_FORMAT_VERSION`]).
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Oldest snapshot format version [`RunSnapshot::decode`] still reads.
 pub const MIN_FORMAT_VERSION: u64 = 1;
@@ -577,20 +576,45 @@ mod tests {
     #[test]
     fn decode_rejects_version_and_kind_mismatch() {
         let text = sample_snapshot().encode();
-        let other = text.replacen("\"version\":2", "\"version\":999", 1);
+        let other = text.replacen("\"version\":3", "\"version\":999", 1);
         assert!(RunSnapshot::decode(&other).is_err());
         let foreign = text.replacen("pp_snapshot", "pp_snapshoT", 1);
         assert!(RunSnapshot::decode(&foreign).is_err());
     }
 
     #[test]
-    fn decode_accepts_previous_format_version() {
-        // Version-1 snapshots (pre-sharding) have the identical payload
+    fn decode_accepts_previous_format_versions() {
+        // Version-1 and version-2 snapshots have the identical payload
         // schema; the reader must keep accepting them.
         let text = sample_snapshot().encode();
-        let v1 = text.replacen("\"version\":2", "\"version\":1", 1);
-        assert_ne!(text, v1, "header rewrite must take effect");
-        assert!(RunSnapshot::decode(&v1).is_ok());
+        for old in ["\"version\":1", "\"version\":2"] {
+            let rewritten = text.replacen("\"version\":3", old, 1);
+            assert_ne!(text, rewritten, "header rewrite must take effect");
+            assert!(RunSnapshot::decode(&rewritten).is_ok());
+        }
+    }
+
+    #[test]
+    fn snapshot_of_a_removed_backend_is_rejected_by_tag() {
+        // The accelerated backend was folded into `CountPopulation`; state
+        // it saved must not be deserialized into the surviving backend.
+        let mut snap = sample_snapshot();
+        snap.backend = "accel".to_string();
+        let snap = RunSnapshot::decode(&snap.encode()).expect("tag survives the encoding");
+        let p = TableProtocol::new(2, "epidemic")
+            .rule(1, 0, 1, 1)
+            .rule(0, 1, 1, 1);
+        let mut pop = CountPopulation::from_counts(&p, &[500, 12]);
+        let err = snap.resume_into(&mut pop).unwrap_err();
+        assert_eq!(
+            err,
+            "snapshot was taken by backend \"accel\", cannot restore into \"counts\""
+        );
+        assert_eq!(
+            pop.steps(),
+            0,
+            "a rejected restore leaves the simulator untouched"
+        );
     }
 
     #[test]

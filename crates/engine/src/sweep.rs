@@ -10,7 +10,7 @@
 //! collection.
 
 use crate::json::Json;
-use crate::metrics::{self, Counter, Hist};
+use crate::metrics::{self, Counter};
 use crate::rng::SimRng;
 use crate::snapshot::SnapshotStore;
 use std::cell::UnsafeCell;
@@ -35,11 +35,10 @@ fn env_threads() -> Option<usize> {
 
 /// Resolves a requested worker count for `count` parallel tasks.
 ///
-/// Precedence: an explicit `workers > 0` (the `--threads` flag) wins; then
-/// the `PP_THREADS` environment variable; then the OS-reported available
-/// parallelism. The result never exceeds the task count (in particular,
-/// zero tasks resolve to zero workers). Shared by the sweep harness and the
-/// dense shard pool ([`crate::pardense`]).
+/// Precedence: an explicit `workers > 0` wins; then the `PP_THREADS`
+/// environment variable; then the OS-reported available parallelism. The
+/// result never exceeds the task count (in particular, zero tasks resolve
+/// to zero workers).
 #[must_use]
 pub fn resolve_workers(workers: usize, count: usize) -> usize {
     if count == 0 {
@@ -71,8 +70,8 @@ unsafe impl<T: Send> Sync for Slots<T> {}
 /// returns the results in index order.
 ///
 /// The task closure must be `Sync` because multiple workers call it
-/// concurrently (on distinct indices). Worker count 0 selects the available
-/// parallelism reported by the OS.
+/// concurrently (on distinct indices). Worker count 0 resolves through
+/// [`resolve_workers`]: `PP_THREADS`, else the OS-reported parallelism.
 ///
 /// # Examples
 ///
@@ -126,114 +125,6 @@ where
                 .expect("every slot is written before workers join")
         })
         .collect()
-}
-
-/// Wall-clock summary of one profiled sweep: per-task durations plus
-/// worker-utilization aggregates.
-#[derive(Debug, Clone)]
-pub struct SweepProfile {
-    /// Number of tasks executed.
-    pub tasks: usize,
-    /// Worker threads actually used (after resolving worker count 0).
-    pub workers: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_s: f64,
-    /// Wall-clock seconds of each task, in index order.
-    pub task_s: Vec<f64>,
-}
-
-impl SweepProfile {
-    /// Sum of all task durations (total useful work).
-    #[must_use]
-    pub fn total_task_s(&self) -> f64 {
-        self.task_s.iter().sum()
-    }
-
-    /// Duration of the slowest task — the lower bound on sweep wall-clock.
-    #[must_use]
-    pub fn max_task_s(&self) -> f64 {
-        self.task_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Fraction of worker·wall-clock capacity spent inside tasks, in
-    /// `[0, 1]` up to timer noise. Low utilization with many workers means
-    /// stragglers or too few tasks.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        let capacity = self.workers as f64 * self.wall_s;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            self.total_task_s() / capacity
-        }
-    }
-
-    /// Renders the summary (not the per-task list) as a JSON object, for
-    /// embedding in run traces and metrics snapshots.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("tasks", Json::from(self.tasks)),
-            ("workers", Json::from(self.workers)),
-            ("wall_s", Json::from(self.wall_s)),
-            ("total_task_s", Json::from(self.total_task_s())),
-            ("max_task_s", Json::from(self.max_task_s())),
-            ("utilization", Json::from(self.utilization())),
-        ])
-    }
-}
-
-/// Like [`run_indexed`], but additionally measures per-task wall-clock and
-/// returns a [`SweepProfile`]. When the global [`crate::metrics`] registry
-/// is enabled, each task also bumps the `sweep_tasks` counter and feeds the
-/// `sweep_task_micros` histogram.
-///
-/// # Examples
-///
-/// ```
-/// use pp_engine::sweep::run_indexed_profiled;
-///
-/// let (squares, profile) = run_indexed_profiled(4, 2, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9]);
-/// assert_eq!(profile.tasks, 4);
-/// assert_eq!(profile.task_s.len(), 4);
-/// assert!(profile.wall_s >= profile.max_task_s());
-/// ```
-///
-/// # Panics
-///
-/// Propagates panics from task closures.
-pub fn run_indexed_profiled<T, F>(count: usize, workers: usize, task: F) -> (Vec<T>, SweepProfile)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = resolve_workers(workers, count);
-    let start = Instant::now();
-    let timed = run_indexed(count, workers, |i| {
-        let t0 = Instant::now();
-        let value = task(i);
-        let dur = t0.elapsed();
-        metrics::add(Counter::SweepTasks, 1);
-        metrics::observe(Hist::SweepTaskMicros, dur.as_micros() as u64);
-        (value, dur.as_secs_f64())
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    let mut values = Vec::with_capacity(count);
-    let mut task_s = Vec::with_capacity(count);
-    for (v, s) in timed {
-        values.push(v);
-        task_s.push(s);
-    }
-    (
-        values,
-        SweepProfile {
-            tasks: count,
-            workers,
-            wall_s,
-            task_s,
-        },
-    )
 }
 
 /// Convenience wrapper: maps `task` over a slice of configurations in
@@ -691,26 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_sweep_reports_consistent_summary() {
-        let (out, profile) = run_indexed_profiled(6, 2, |i| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            i * 10
-        });
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
-        assert_eq!(profile.tasks, 6);
-        assert_eq!(profile.workers, 2);
-        assert_eq!(profile.task_s.len(), 6);
-        assert!(profile.task_s.iter().all(|&s| s > 0.0));
-        assert!(profile.wall_s + 1e-3 >= profile.max_task_s());
-        assert!(profile.total_task_s() >= profile.max_task_s());
-        let u = profile.utilization();
-        assert!((0.0..=1.5).contains(&u), "utilization {u}");
-        let j = profile.to_json();
-        assert_eq!(j.get("tasks").and_then(crate::json::Json::as_u64), Some(6));
-        assert!(j.get("utilization").is_some());
-    }
-
-    #[test]
     fn zero_tasks_resolve_to_zero_workers() {
         assert_eq!(resolve_workers(4, 0), 0, "no tasks, no workers");
         assert_eq!(resolve_workers(0, 0), 0, "auto workers over no tasks");
@@ -966,20 +837,5 @@ mod tests {
         assert_eq!(snap.counter("sweep_panics"), 1);
         assert_eq!(snap.counter("sweep_retries"), 1);
         assert_eq!(snap.counter("sweep_timeouts"), 0);
-    }
-
-    #[test]
-    fn profiled_sweep_feeds_metrics_when_enabled() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::metrics::reset();
-        crate::metrics::enable();
-        let (_, profile) = run_indexed_profiled(5, 2, |i| i);
-        crate::metrics::disable();
-        assert_eq!(profile.tasks, 5);
-        let snap = crate::metrics::snapshot();
-        assert!(snap.counter("sweep_tasks") >= 5);
-        assert!(snap.hist_count("sweep_task_micros") >= 5);
     }
 }

@@ -1,5 +1,5 @@
 //! Cross-backend equivalence tests: the agent-array, count-based, sparse,
-//! accelerated, and matching simulators must realize the same stochastic
+//! and matching simulators must realize the same stochastic
 //! process, per-step `step()` and batched `step_batch()` must induce the
 //! same run distribution, and the rules formalism must agree with
 //! hand-coded protocols.
@@ -7,7 +7,6 @@
 //! Random cases are drawn from seeded [`SimRng`] streams, so every failure
 //! reproduces from the printed case index.
 
-use population_protocols::core::engine::accel::AcceleratedPopulation;
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::matching::MatchingPopulation;
 use population_protocols::core::engine::metrics;
@@ -40,11 +39,6 @@ fn fratricide_mean(backend: &str, leaders: u64, followers: u64, runs: u64) -> f6
                         SparseCountPopulation::from_dense(&protocol, &[followers, leaders]);
                     run_until(&mut pop, &mut rng, 1e7, 1, |s| s.count(1) == 1).unwrap()
                 }
-                "accel" => {
-                    let mut pop =
-                        AcceleratedPopulation::from_counts(&protocol, &[followers, leaders]);
-                    run_until(&mut pop, &mut rng, 1e7, 1, |s| s.count(1) == 1).unwrap()
-                }
                 _ => unreachable!(),
             }
         })
@@ -57,9 +51,8 @@ fn all_backends_agree_on_fratricide_time() {
     let agents = fratricide_mean("agents", 16, 112, 40);
     let counts = fratricide_mean("counts", 16, 112, 40);
     let sparse = fratricide_mean("sparse", 16, 112, 40);
-    let accel = fratricide_mean("accel", 16, 112, 40);
     let reference = agents;
-    for (name, value) in [("counts", counts), ("sparse", sparse), ("accel", accel)] {
+    for (name, value) in [("counts", counts), ("sparse", sparse)] {
         let rel = (value - reference).abs() / reference;
         assert!(
             rel < 0.25,
@@ -185,15 +178,6 @@ fn step_batch_matches_step_on_sparse_count_population() {
 }
 
 #[test]
-fn step_batch_matches_step_on_accelerated_population() {
-    assert_step_batch_equivalent(
-        "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), &EQUIV_N),
-        400,
-    );
-}
-
-#[test]
 fn step_batch_matches_step_on_matching_population() {
     assert_step_batch_equivalent(
         "MatchingPopulation",
@@ -204,9 +188,9 @@ fn step_batch_matches_step_on_matching_population() {
 
 /// Initial counts for the reactive-dense equivalence suite: at n = 3000 a
 /// collision-free epoch covers ≈ 34 interactions of which ≈ 11 are
-/// reactive, so `CountPopulation` and `AcceleratedPopulation` route their
-/// batches through the contingency-table collision path (the per-step and
-/// agent-array backends provide the reference distribution).
+/// reactive, so `CountPopulation` routes its batches through the
+/// contingency-table collision path (the per-step and agent-array backends
+/// provide the reference distribution).
 const DENSE_N: [u64; 3] = [1_000, 1_000, 1_000];
 const DENSE_RUNS: u64 = 100;
 const DENSE_TARGET_STEPS: u64 = 3_000 * 2; // 2 parallel rounds at n = 3000
@@ -232,7 +216,7 @@ fn dense_observations<S: Simulator>(
 }
 
 /// Chi-square homogeneity of step vs step_batch driving on the dense
-/// cycle-3 workload (collision-batch regime for the count backends).
+/// cycle-3 workload (collision-batch regime for the count backend).
 fn assert_dense_step_batch_equivalent<S: Simulator>(name: &str, make: impl Fn() -> S, seed: u64) {
     let stepwise = dense_observations(&make, seed, false);
     let batched = dense_observations(&make, seed + 50_000, true);
@@ -272,15 +256,6 @@ fn dense_step_batch_matches_step_on_sparse_count_population() {
 }
 
 #[test]
-fn dense_step_batch_matches_step_on_accelerated_population() {
-    assert_dense_step_batch_equivalent(
-        "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), &DENSE_N),
-        1_400,
-    );
-}
-
-#[test]
 fn dense_step_batch_matches_step_on_matching_population() {
     assert_dense_step_batch_equivalent(
         "MatchingPopulation",
@@ -298,20 +273,18 @@ fn dense_step_batch_matches_step_on_matching_population() {
 fn dense_scenario_uses_collision_epochs() {
     metrics::enable();
     let before = metrics::snapshot();
-    let mut count_pop = CountPopulation::from_counts(cycle(), &DENSE_N);
-    let mut accel_pop = AcceleratedPopulation::from_counts(cycle(), &DENSE_N);
+    let mut pop = CountPopulation::from_counts(cycle(), &DENSE_N);
     let mut rng = SimRng::seed_from(77);
-    count_pop.step_batch(&mut rng, DENSE_TARGET_STEPS);
-    accel_pop.step_batch(&mut rng, DENSE_TARGET_STEPS);
+    pop.step_batch(&mut rng, DENSE_TARGET_STEPS);
     let after = metrics::snapshot();
     metrics::disable();
     let epochs = after.counter("collision_epochs") - before.counter("collision_epochs");
     let steps =
         after.counter("collision_batched_steps") - before.counter("collision_batched_steps");
-    // Two backends × 6000 steps ÷ ≈ 35 steps/epoch ⇒ ≳ 300 epochs.
+    // 6000 steps ÷ ≈ 35 steps/epoch ⇒ ≳ 150 epochs.
     assert!(epochs >= 100, "only {epochs} collision epochs recorded");
     assert!(
-        steps >= 2 * DENSE_TARGET_STEPS - 200,
+        steps >= DENSE_TARGET_STEPS - 100,
         "only {steps} steps settled via collision batches"
     );
 }
@@ -501,10 +474,6 @@ fn batch_executed_matches_steps_delta_exactly() {
                 Box::new(SparseCountPopulation::from_dense(cycle(), &EQUIV_N)),
             ),
             (
-                "accel",
-                Box::new(AcceleratedPopulation::from_counts(cycle(), &EQUIV_N)),
-            ),
-            (
                 "matching",
                 Box::new(MatchingPopulation::from_counts(cycle(), &EQUIV_N)),
             ),
@@ -548,12 +517,6 @@ fn silent_batches_consume_nothing() {
     let protocol = TableProtocol::new(2, "fratricide").rule(1, 1, 1, 0);
     let mut rng = SimRng::seed_from(42);
     // One leader: no reactive pair exists.
-    let mut accel = AcceleratedPopulation::from_counts(&protocol, &[9, 1]);
-    let out = accel.step_batch(&mut rng, 1_000);
-    assert!(out.silent);
-    assert_eq!(out.executed, 0);
-    assert_eq!(accel.steps(), 0);
-
     let mut counts = CountPopulation::from_counts(&protocol, &[9, 1]);
     let out = counts.step_batch(&mut rng, 1_000);
     assert!(out.silent);
@@ -613,20 +576,22 @@ fn dsl_epidemic_matches_table_epidemic() {
     }
 }
 
-/// The accelerated backend never reports Silent while a reactive pair
-/// exists, and vice versa.
+/// The count backend never reports a silent batch while a reactive pair
+/// exists, and always does once none remains.
 #[test]
-fn accel_silence_is_sound() {
+fn count_silence_is_sound() {
     let protocol = TableProtocol::new(2, "fratricide").rule(1, 1, 1, 0);
     for leaders in 0u64..6 {
         for followers in 2u64..40 {
-            let mut pop = AcceleratedPopulation::from_counts(&protocol, &[followers, leaders]);
+            let mut pop = CountPopulation::from_counts(&protocol, &[followers, leaders]);
             let mut rng = SimRng::seed_from(leaders * 100 + followers);
-            let outcome = pop.step(&mut rng);
+            let out = pop.step_batch(&mut rng, 1);
             if leaders >= 2 {
-                assert_ne!(outcome, StepOutcome::Silent, "{leaders} leaders");
+                assert!(!out.silent, "{leaders} leaders");
+                assert_eq!(out.executed, 1, "{leaders} leaders");
             } else {
-                assert_eq!(outcome, StepOutcome::Silent, "{leaders} leaders");
+                assert!(out.silent, "{leaders} leaders");
+                assert_eq!(out.executed, 0, "{leaders} leaders");
             }
         }
     }

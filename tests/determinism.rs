@@ -1,6 +1,6 @@
 //! Replay determinism: the same `(seed, backend, protocol)` triple must
 //! yield byte-identical trace, fault-event, and metrics output across two
-//! runs, for all five backends under fault injection.
+//! runs, for all four backends under fault injection.
 //!
 //! This is what makes injected-fault debugging workable: any incident from
 //! a sweep or CI run replays exactly from its seed, fault RNG included.
@@ -9,7 +9,6 @@
 //! process-global; a single test keeps the two runs being compared from
 //! interleaving with anything else.
 
-use population_protocols::core::engine::accel::AcceleratedPopulation;
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::{to_jsonl, Json};
@@ -128,7 +127,7 @@ fn run_interrupted<S: Simulator>(
 /// of trace, fault events, and metrics.
 fn assert_replay_byte_identical(scenario: &str, counts: &[u64], seed: u64, rounds: u64) {
     let n: u64 = counts.iter().sum();
-    let backends: &[&str] = &["agents", "counts", "sparse", "accel", "matching"];
+    let backends: &[&str] = &["agents", "counts", "sparse", "matching"];
     for &backend in backends {
         let run = || {
             let p = rps();
@@ -137,12 +136,6 @@ fn assert_replay_byte_identical(scenario: &str, counts: &[u64], seed: u64, round
                 "counts" => run_once(CountPopulation::from_counts(&p, counts), seed, n, rounds),
                 "sparse" => run_once(
                     SparseCountPopulation::from_dense(&p, counts),
-                    seed,
-                    n,
-                    rounds,
-                ),
-                "accel" => run_once(
-                    AcceleratedPopulation::from_counts(&p, counts),
                     seed,
                     n,
                     rounds,
@@ -189,7 +182,7 @@ fn assert_interrupt_resume_byte_identical(
     cut: u64,
 ) {
     let n: u64 = counts.iter().sum();
-    let backends: &[&str] = &["agents", "counts", "sparse", "accel", "matching"];
+    let backends: &[&str] = &["agents", "counts", "sparse", "matching"];
     for &backend in backends {
         let p = rps();
         let full = match backend {
@@ -197,12 +190,6 @@ fn assert_interrupt_resume_byte_identical(
             "counts" => run_once(CountPopulation::from_counts(&p, counts), seed, n, rounds),
             "sparse" => run_once(
                 SparseCountPopulation::from_dense(&p, counts),
-                seed,
-                n,
-                rounds,
-            ),
-            "accel" => run_once(
-                AcceleratedPopulation::from_counts(&p, counts),
                 seed,
                 n,
                 rounds,
@@ -223,13 +210,6 @@ fn assert_interrupt_resume_byte_identical(
             ),
             "sparse" => run_interrupted(
                 || SparseCountPopulation::from_dense(&p, counts),
-                seed,
-                n,
-                rounds,
-                cut,
-            ),
-            "accel" => run_interrupted(
-                || AcceleratedPopulation::from_counts(&p, counts),
                 seed,
                 n,
                 rounds,
